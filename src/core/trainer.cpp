@@ -35,20 +35,26 @@ void RestoreValues(const nn::ParameterList& params,
   }
 }
 
-/// Per-worker state for data-parallel training. Worker 0 aliases the
-/// caller's model; workers 1..W-1 own replicas initialised to identical
+/// Number of contiguous row shards every logical batch is cut into. A
+/// constant rather than the pool size, so the gradient reduction (and with
+/// it every trained weight) is the same for any thread count: the pool
+/// only decides which thread runs which shard.
+constexpr size_t kGradientShards = 4;
+
+/// Per-shard state for data-parallel training. Shard 0 aliases the
+/// caller's model; shards 1..S-1 own replicas initialised to identical
 /// values and refreshed by a value broadcast after each optimizer step,
 /// so all replicas stay bitwise equal throughout.
-struct Worker {
+struct Shard {
   PathRankModel* model = nullptr;
   std::unique_ptr<PathRankModel> owned;
   nn::ParameterList params;
-  // Per-batch scratch (loss gradients) and per-group results.
+  // Per-batch scratch (loss gradients) and results.
   std::vector<float> d_scores;
   std::vector<float> d_aux_length;
   std::vector<float> d_aux_time;
-  double group_loss = 0.0;     // loss * examples for the last shard
-  size_t group_examples = 0;
+  double loss_sum = 0.0;  // loss * rows for the shard's rows
+  size_t rows = 0;
 };
 
 }  // namespace
@@ -67,29 +73,30 @@ TrainHistory TrainPathRank(PathRankModel& model,
   schedule.total_epochs = config.epochs;
   schedule.min_lr = config.learning_rate * 0.01;
 
-  // Data-parallel setup: W consecutive batches form one optimizer-step
-  // group; each worker computes gradients for one batch and the ordered
-  // mean over the group is applied everywhere. W == 1 reproduces the
-  // serial per-batch schedule exactly. Results depend on W (the effective
-  // batch size is W * batch_size) but are bit-reproducible for a fixed
-  // seed and thread count.
-  const size_t num_workers =
-      std::max<size_t>(1, NumShardsFor(batcher.num_batches()));
-  std::vector<Worker> workers(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (w == 0) {
-      workers[w].model = &model;
+  // Data-parallel setup: every logical batch is cut into the same
+  // kGradientShards contiguous row shards whatever the pool size; each
+  // shard's loss gradients are weighted by its share of the batch, the
+  // shard gradients are summed in shard order and one optimizer step is
+  // taken per batch. Training is therefore bit-reproducible for a fixed
+  // seed, any thread count, and batch_size is the effective batch.
+  const size_t max_rows =
+      std::min(config.batch_size, batcher.num_examples());
+  const size_t num_replicas = NumShardsFor(max_rows, kGradientShards);
+  std::vector<Shard> shards(num_replicas);
+  for (size_t s = 0; s < num_replicas; ++s) {
+    if (s == 0) {
+      shards[s].model = &model;
     } else {
       // Skip-init: the replica's values are copied in wholesale, so the
       // constructor's O(vocab x dim) RNG draws would be wasted work.
-      workers[w].owned = std::make_unique<PathRankModel>(
+      shards[s].owned = std::make_unique<PathRankModel>(
           model.vocab_size(), model.config(), InitMode::kSkipInit);
-      workers[w].owned->CopyParametersFrom(model);
-      workers[w].model = workers[w].owned.get();
+      shards[s].owned->CopyParametersFrom(model);
+      shards[s].model = shards[s].owned.get();
     }
-    workers[w].params = workers[w].model->Parameters();
+    shards[s].params = shards[s].model->Parameters();
   }
-  const nn::ParameterList& params = workers[0].params;
+  const nn::ParameterList& params = shards[0].params;
   const size_t num_params = params.size();
   nn::Adam optimizer(config.learning_rate);
 
@@ -111,67 +118,68 @@ TrainHistory TrainPathRank(PathRankModel& model,
 
     double loss_sum = 0.0;
     size_t example_count = 0;
-    for (size_t g = 0; g < batcher.num_batches(); g += num_workers) {
-      const size_t group =
-          std::min(num_workers, batcher.num_batches() - g);
+    for (size_t b = 0; b < batcher.num_batches(); ++b) {
+      const size_t rows = batcher.BatchRows(b);
+      const size_t used = NumShardsFor(rows, kGradientShards);
 
-      // Forward/backward one batch per worker; gradients land in each
-      // worker's own buffers.
+      // Forward/backward one row shard per replica; gradients land in
+      // each shard's own buffers.
       ParallelForShards(
-          0, group,
-          [&](size_t shard, size_t lo, size_t hi) {
-            PR_CHECK(lo + 1 == hi);  // one batch per shard by construction
-            Worker& worker = workers[shard];
-            const data::ModelBatch batch = batcher.GetBatch(g + lo);
-            const auto outputs =
-                worker.model->ForwardFull(batch.sequences);
+          0, rows,
+          [&](size_t s, size_t lo, size_t hi) {
+            Shard& shard = shards[s];
+            const data::ModelBatch batch = batcher.GetBatchRows(b, lo, hi);
+            const auto outputs = shard.model->ForwardFull(batch.sequences);
+            // The loss is a mean over the shard's rows; weighting its
+            // gradients by the shard's share of the batch makes the shard
+            // sum the gradient of the mean over the whole batch.
+            const auto share = static_cast<float>(hi - lo) /
+                               static_cast<float>(rows);
             double loss = nn::ComputeLoss(config.loss, outputs.scores,
-                                          batch.labels, &worker.d_scores);
+                                          batch.labels, &shard.d_scores);
+            for (float& grad : shard.d_scores) grad *= share;
             if (multi_task) {
               // Auxiliary regression on the candidate's normalised length
               // and travel time; gradients scaled by the auxiliary weight.
               loss += aux_weight *
                       nn::ComputeLoss(config.loss, outputs.aux_length,
                                       batch.norm_lengths,
-                                      &worker.d_aux_length);
+                                      &shard.d_aux_length);
               loss += aux_weight *
                       nn::ComputeLoss(config.loss, outputs.aux_time,
-                                      batch.norm_times, &worker.d_aux_time);
-              for (float& grad : worker.d_aux_length) grad *= aux_weight;
-              for (float& grad : worker.d_aux_time) grad *= aux_weight;
+                                      batch.norm_times, &shard.d_aux_time);
+              const float aux_scale = aux_weight * share;
+              for (float& grad : shard.d_aux_length) grad *= aux_scale;
+              for (float& grad : shard.d_aux_time) grad *= aux_scale;
             }
-            worker.group_loss =
-                loss * static_cast<double>(outputs.scores.size());
-            worker.group_examples = outputs.scores.size();
+            shard.rows = hi - lo;
+            shard.loss_sum = loss * static_cast<double>(shard.rows);
 
-            nn::ZeroGradients(worker.params);
+            nn::ZeroGradients(shard.params);
             if (multi_task) {
-              worker.model->BackwardFull(worker.d_scores,
-                                         worker.d_aux_length,
-                                         worker.d_aux_time);
+              shard.model->BackwardFull(shard.d_scores, shard.d_aux_length,
+                                        shard.d_aux_time);
             } else {
-              worker.model->Backward(worker.d_scores);
+              shard.model->Backward(shard.d_scores);
             }
           },
-          /*max_shards=*/group);
+          kGradientShards);
 
-      for (size_t s = 0; s < group; ++s) {
-        loss_sum += workers[s].group_loss;
-        example_count += workers[s].group_examples;
+      for (size_t s = 0; s < used; ++s) {
+        loss_sum += shards[s].loss_sum;
+        example_count += shards[s].rows;
       }
 
-      // Ordered reduction into worker 0: mean of the group's gradients,
-      // shard order fixed, so the result is independent of scheduling.
-      if (group > 1) {
-        const float inv_group = 1.0f / static_cast<float>(group);
+      // Ordered reduction into shard 0: the sum of the weighted shard
+      // gradients, shard order fixed, so the result is independent of
+      // scheduling.
+      if (used > 1) {
         ParallelFor(0, num_params, 1, [&](size_t lo, size_t hi) {
           for (size_t p = lo; p < hi; ++p) {
             if (params[p]->frozen) continue;  // optimizer never applies it
-            nn::Matrix& grad = params[p]->grad;
-            for (size_t s = 1; s < group; ++s) {
-              grad.Add(workers[s].params[p]->grad);
+            for (size_t s = 1; s < used; ++s) {
+              params[p]->grad.Add(shards[s].params[p]->grad);
             }
-            grad.Scale(inv_group);
           }
         });
       }
@@ -179,16 +187,16 @@ TrainHistory TrainPathRank(PathRankModel& model,
         nn::ClipGradientNorm(params, config.clip_norm);
       }
 
-      // One optimizer step on worker 0, then a value broadcast keeps the
+      // One optimizer step on shard 0, then a value broadcast keeps the
       // replicas bitwise equal (frozen parameters never change, so they
       // are skipped).
       optimizer.Step(params);
-      if (num_workers > 1) {
-        ParallelForShards(1, num_workers, [&](size_t, size_t lo, size_t hi) {
-          for (size_t w = lo; w < hi; ++w) {
+      if (num_replicas > 1) {
+        ParallelForShards(1, num_replicas, [&](size_t, size_t lo, size_t hi) {
+          for (size_t s = lo; s < hi; ++s) {
             for (size_t p = 0; p < num_params; ++p) {
               if (params[p]->frozen) continue;
-              workers[w].params[p]->value = params[p]->value;
+              shards[s].params[p]->value = params[p]->value;
             }
           }
         });
@@ -225,7 +233,8 @@ TrainHistory TrainPathRank(PathRankModel& model,
                           ? " val_mae=" + std::to_string(record.val_mae)
                           : "")
                   << " lr=" << record.learning_rate << " ("
-                  << record.seconds << "s, " << num_workers << " workers)";
+                  << record.seconds << "s, " << batcher.num_batches()
+                  << " steps)";
     }
     if (use_validation && config.patience > 0 &&
         epochs_since_best >= config.patience) {

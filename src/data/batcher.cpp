@@ -55,10 +55,16 @@ Batcher::Batcher(std::vector<RankingExample> examples, size_t batch_size)
 
 void Batcher::Reshuffle(pathrank::Rng& rng) { rng.Shuffle(visit_order_); }
 
-ModelBatch Batcher::GetBatch(size_t i) const {
+size_t Batcher::BatchRows(size_t i) const {
   PR_CHECK(i < visit_order_.size());
   const size_t start = batch_starts_[visit_order_[i]];
-  const size_t end = std::min(start + batch_size_, examples_.size());
+  return std::min(batch_size_, examples_.size() - start);
+}
+
+ModelBatch Batcher::GetBatchRows(size_t i, size_t lo, size_t hi) const {
+  PR_CHECK(lo < hi && hi <= BatchRows(i));
+  const size_t start = batch_starts_[visit_order_[i]] + lo;
+  const size_t end = batch_starts_[visit_order_[i]] + hi;
 
   std::vector<std::vector<int32_t>> seqs;
   ModelBatch batch;

@@ -51,8 +51,18 @@ class Batcher {
   /// Re-randomises the batch visit order (call once per epoch).
   void Reshuffle(pathrank::Rng& rng);
 
+  /// Number of examples in batch `i` under the current visit order.
+  size_t BatchRows(size_t i) const;
+
   /// Returns batch `i` under the current visit order.
-  ModelBatch GetBatch(size_t i) const;
+  ModelBatch GetBatch(size_t i) const {
+    return GetBatchRows(i, 0, BatchRows(i));
+  }
+
+  /// Returns rows [lo, hi) of batch `i` under the current visit order (the
+  /// batch's examples stay length-sorted, so a row range is a contiguous
+  /// slice of the sorted pool).
+  ModelBatch GetBatchRows(size_t i, size_t lo, size_t hi) const;
 
  private:
   std::vector<RankingExample> examples_;  // sorted by length

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/batcher.h"
@@ -233,6 +235,41 @@ TEST(Batcher, ReshuffleKeepsCoverage) {
     for (float l : batcher.GetBatch(b).labels) labels_after.insert(l);
   }
   EXPECT_EQ(labels_before, labels_after);
+}
+
+TEST(Batcher, RowRangesTileTheBatch) {
+  const RoadNetwork net = BuildTestNetwork(25);
+  const auto trips = MakeTrips(net, 10, 26);
+  CandidateGenConfig cfg;
+  cfg.k = 5;
+  RankingDataset dataset;
+  dataset.queries = GenerateQueries(net, trips, cfg);
+  Batcher batcher(FlattenDataset(dataset), 8);
+  pathrank::Rng rng(27);
+  batcher.Reshuffle(rng);
+  for (size_t b = 0; b < batcher.num_batches(); ++b) {
+    const ModelBatch whole = batcher.GetBatch(b);
+    const size_t rows = batcher.BatchRows(b);
+    ASSERT_EQ(whole.labels.size(), rows);
+    // Rows [0, mid) and [mid, rows) concatenate to the whole batch, in
+    // order.
+    const size_t mid = rows / 2;
+    std::vector<float> labels;
+    std::vector<int32_t> lengths;
+    for (const auto [lo, hi] : {std::pair<size_t, size_t>{0, mid},
+                                std::pair<size_t, size_t>{mid, rows}}) {
+      if (lo == hi) continue;
+      const ModelBatch part = batcher.GetBatchRows(b, lo, hi);
+      EXPECT_EQ(part.sequences.batch_size, hi - lo);
+      labels.insert(labels.end(), part.labels.begin(), part.labels.end());
+      lengths.insert(lengths.end(), part.sequences.lengths.begin(),
+                     part.sequences.lengths.end());
+    }
+    EXPECT_EQ(labels, whole.labels);
+    EXPECT_EQ(lengths, whole.sequences.lengths);
+  }
+  EXPECT_THROW(batcher.GetBatchRows(0, 0, batcher.BatchRows(0) + 1),
+               std::logic_error);
 }
 
 TEST(Batcher, RejectsEmptyInput) {
